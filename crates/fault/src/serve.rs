@@ -688,21 +688,29 @@ fn run_kill_mid_journal(seed: u64, stats: &mut ServeModeStats, violations: &mut 
         return;
     }
     // Pre-kill history: clean work plus a quarantined tenant, so the
-    // journal holds registers, charges, a strike, and a quarantine.
+    // journal holds registers, charges, a strike, and a quarantine. The
+    // clean jobs queue under pause and run as one wave, so their charges
+    // are one multi-record commit the tear below can land inside.
+    handle.pause();
+    let mut tickets = Vec::new();
     for i in 0..3 {
         let payload = format!("k{i},{seed}\n").into_bytes();
         match handle.submit(JobSpec::new(format!("t{}", i % 2), "csv", payload)) {
-            Ok(t) => match settle(t, mode, "pre-kill job", violations) {
-                Some(Ok(_)) => stats.completed += 1,
-                Some(Err(e)) => {
-                    violations.push(format!("mode={} pre-kill job failed: {e}", mode.name()))
-                }
-                None => {}
-            },
+            Ok(t) => tickets.push(t),
             Err(e) => violations.push(format!(
                 "mode={} pre-kill submission refused: {e}",
                 mode.name()
             )),
+        }
+    }
+    handle.resume();
+    for t in tickets {
+        match settle(t, mode, "pre-kill job", violations) {
+            Some(Ok(_)) => stats.completed += 1,
+            Some(Err(e)) => {
+                violations.push(format!("mode={} pre-kill job failed: {e}", mode.name()))
+            }
+            None => {}
         }
     }
     let mut poison = JobSpec::new("poison", "csv-raw", lineitem_csv(1024, seed));

@@ -3,10 +3,15 @@
 //! The runtime's durable state is small and additive: which kernels
 //! are registered (by source + layout, so the artifact store can
 //! rebuild them), and each tenant's admission-relevant accounting —
-//! quota, cycles charged, quarantine strikes. Every mutation appends
-//! one framed record here *while the state lock is held*, and
-//! [`replay`] reads them back so a restarted service admits and
-//! refuses exactly like the one that died.
+//! quota, cycles charged, quarantine strikes. Mutations are committed
+//! here in groups *while the state lock is held*: one commit per wave
+//! (its charges, strikes and quarantines) and one per operator action,
+//! each a single write plus, when syncing, a single `sync_data`
+//! ([`JournalWriter::append_all`]). The runtime delivers a result only
+//! after the commit that covers its records, so a crash loses only the
+//! charges of jobs whose results were never delivered. [`replay`] reads
+//! the records back so a restarted service admits and refuses exactly
+//! like the one that died.
 //!
 //! ## Framing
 //!
@@ -112,6 +117,12 @@ fn put_str(v: &mut Vec<u8>, s: &str) {
 /// Encodes a record's payload (no framing).
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
     let mut v = Vec::new();
+    encode_into(rec, &mut v);
+    v
+}
+
+/// Appends a record's payload (no framing) to `v`.
+fn encode_into(rec: &JournalRecord, v: &mut Vec<u8>) {
     match rec {
         JournalRecord::RegisterKernel {
             name,
@@ -120,8 +131,8 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             fallback,
         } => {
             v.push(TAG_REGISTER_KERNEL);
-            put_str(&mut v, name);
-            put_str(&mut v, source);
+            put_str(v, name);
+            put_str(v, source);
             v.extend_from_slice(&(layout.window_words as u64).to_le_bytes());
             v.push(u8::from(layout.share_actions));
             v.push(u8::from(layout.uap_attach));
@@ -129,7 +140,7 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             match fallback {
                 Some(tag) => {
                     v.push(1);
-                    put_str(&mut v, tag);
+                    put_str(v, tag);
                 }
                 None => v.push(0),
             }
@@ -140,7 +151,7 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
             cycle_budget,
         } => {
             v.push(TAG_SET_QUOTA);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
             v.extend_from_slice(&max_queued.to_le_bytes());
             match cycle_budget {
                 Some(b) => {
@@ -152,28 +163,27 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
         }
         JournalRecord::Charge { tenant, cycles } => {
             v.push(TAG_CHARGE);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
             v.extend_from_slice(&cycles.to_le_bytes());
         }
         JournalRecord::Strike { tenant } => {
             v.push(TAG_STRIKE);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
         }
         JournalRecord::Quarantine { tenant } => {
             v.push(TAG_QUARANTINE);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
         }
         JournalRecord::Release { tenant } => {
             v.push(TAG_RELEASE);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
         }
         JournalRecord::Refill { tenant, cycles } => {
             v.push(TAG_REFILL);
-            put_str(&mut v, tenant);
+            put_str(v, tenant);
             v.extend_from_slice(&cycles.to_le_bytes());
         }
     }
-    v
 }
 
 /// A bounds-checked little-endian reader (decode side).
@@ -364,6 +374,10 @@ pub struct JournalWriter {
     path: PathBuf,
     sync: bool,
     dead: bool,
+    /// Framing buffer, reused by every commit.
+    buf: Vec<u8>,
+    records: u64,
+    syncs: u64,
 }
 
 impl JournalWriter {
@@ -399,6 +413,9 @@ impl JournalWriter {
             path,
             sync,
             dead: false,
+            buf: Vec::new(),
+            records: 0,
+            syncs: 0,
         })
     }
 
@@ -408,29 +425,58 @@ impl JournalWriter {
         self.dead
     }
 
-    /// Appends one framed record, best-effort.
+    /// Records written by successful commits.
+    pub fn records(&self) -> u64 {
+        self.records
+    }
+
+    /// `sync_data` calls that succeeded.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
+    }
+
+    /// Appends one framed record, best-effort: [`JournalWriter::append_all`]
+    /// with one record.
     pub fn append(&mut self, rec: &JournalRecord) {
-        if self.dead {
+        self.append_all(std::slice::from_ref(rec));
+    }
+
+    /// Commits `recs` as one group, best-effort: every record is framed
+    /// into one buffer, written with one `write_all`, and (with `sync`)
+    /// made durable by one `sync_data`. The bytes are exactly those of
+    /// appending the records one at a time. An empty group is a no-op.
+    pub fn append_all(&mut self, recs: &[JournalRecord]) {
+        if self.dead || recs.is_empty() {
             return;
         }
-        let payload = encode_record(rec);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        let wrote = self.file.write_all(&frame).and_then(|()| {
+        self.buf.clear();
+        for rec in recs {
+            // Frame in place: reserve the header, encode the payload
+            // behind it, then fill in its length and CRC.
+            let start = self.buf.len();
+            self.buf.extend_from_slice(&[0; 8]);
+            encode_into(rec, &mut self.buf);
+            let payload = &self.buf[start + 8..];
+            let (len, crc) = (payload.len() as u32, crc32(payload));
+            self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        }
+        let wrote = self.file.write_all(&self.buf).and_then(|()| {
             if self.sync {
-                self.file.sync_data()
-            } else {
-                Ok(())
+                self.file.sync_data()?;
+                self.syncs += 1;
             }
+            Ok(())
         });
-        if let Err(e) = wrote {
-            self.dead = true;
-            eprintln!(
-                "udp-serve: journal {} failed ({e}); state changes are no longer durable",
-                self.path.display()
-            );
+        match wrote {
+            Ok(()) => self.records += recs.len() as u64,
+            Err(e) => {
+                self.dead = true;
+                eprintln!(
+                    "udp-serve: journal {} failed ({e}); state changes are no longer durable",
+                    self.path.display()
+                );
+            }
         }
     }
 }
@@ -483,6 +529,23 @@ mod tests {
         ]
     }
 
+    /// Writes the sample records to a fresh journal at `path`, one
+    /// `append` at a time or as one `append_all` group commit.
+    fn write_samples(path: &Path, batched: bool) {
+        let _ = std::fs::remove_file(path);
+        let mut w = JournalWriter::open(path, 0, false).unwrap();
+        if batched {
+            w.append_all(&sample_records());
+        } else {
+            for rec in sample_records() {
+                w.append(&rec);
+            }
+        }
+        assert!(!w.is_dead());
+        assert_eq!(w.records(), sample_records().len() as u64);
+        assert_eq!(w.syncs(), 0, "unsynced writer never syncs");
+    }
+
     fn temp_journal(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "udp-journal-test-{tag}-{}-{:?}",
@@ -510,57 +573,65 @@ mod tests {
     #[test]
     fn write_then_replay_is_identity() {
         let path = temp_journal("identity");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut w = JournalWriter::open(&path, 0, false).unwrap();
-            for rec in sample_records() {
-                w.append(&rec);
-            }
-            assert!(!w.is_dead());
+        let mut images = Vec::new();
+        for batched in [false, true] {
+            write_samples(&path, batched);
+            let rep = replay(&path).unwrap();
+            assert_eq!(rep.records, sample_records(), "batched={batched}");
+            assert_eq!(rep.torn, None);
+            assert_eq!(
+                rep.valid_bytes,
+                std::fs::metadata(&path).unwrap().len(),
+                "clean journal replays to its full length"
+            );
+            images.push(std::fs::read(&path).unwrap());
         }
-        let rep = replay(&path).unwrap();
-        assert_eq!(rep.records, sample_records());
-        assert_eq!(rep.torn, None);
         assert_eq!(
-            rep.valid_bytes,
-            std::fs::metadata(&path).unwrap().len(),
-            "clean journal replays to its full length"
+            images[0], images[1],
+            "a group commit writes the same bytes as one append per record"
         );
+        let framed: Vec<u8> = sample_records()
+            .iter()
+            .flat_map(|rec| {
+                let payload = encode_record(rec);
+                let len = (payload.len() as u32).to_le_bytes();
+                [&len[..], &crc32(&payload).to_le_bytes(), &payload].concat()
+            })
+            .collect();
+        assert_eq!(images[0], framed, "record = len | crc32(payload) | payload");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn torn_tails_are_detected_and_truncated_at_reopen() {
         let path = temp_journal("torn");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut w = JournalWriter::open(&path, 0, false).unwrap();
-            for rec in sample_records() {
-                w.append(&rec);
-            }
-        }
-        let full = std::fs::read(&path).unwrap();
-        let clean = replay(&path).unwrap();
-        assert_eq!(clean.torn, None);
+        // Per-record appends and one multi-record group commit: a tear
+        // inside a group must keep the group's intact prefix too.
+        for batched in [false, true] {
+            write_samples(&path, batched);
+            let full = std::fs::read(&path).unwrap();
+            let clean = replay(&path).unwrap();
+            assert_eq!(clean.torn, None);
 
-        // Cut the file at every byte: replay must never panic, never
-        // lose an intact prefix record, and must flag any real cut.
-        for cut in 0..full.len() {
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let rep = replay(&path).unwrap();
-            assert!(rep.records.len() <= clean.records.len());
-            assert_eq!(
-                rep.records[..],
-                clean.records[..rep.records.len()],
-                "prefix property at cut {cut}"
-            );
-            assert!(rep.valid_bytes <= cut as u64);
-            if (cut as u64) != rep.valid_bytes {
-                assert!(rep.torn.is_some(), "cut {cut} left silent garbage");
+            // Cut the file at every byte: replay must never panic, never
+            // lose an intact prefix record, and must flag any real cut.
+            for cut in 0..full.len() {
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let rep = replay(&path).unwrap();
+                assert!(rep.records.len() <= clean.records.len());
+                assert_eq!(
+                    rep.records[..],
+                    clean.records[..rep.records.len()],
+                    "prefix property at cut {cut} (batched={batched})"
+                );
+                assert!(rep.valid_bytes <= cut as u64);
+                if (cut as u64) != rep.valid_bytes {
+                    assert!(rep.torn.is_some(), "cut {cut} left silent garbage");
+                }
+                // Reopening truncates the torn tail away.
+                drop(JournalWriter::open(&path, rep.valid_bytes, false).unwrap());
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), rep.valid_bytes);
             }
-            // Reopening truncates the torn tail away.
-            drop(JournalWriter::open(&path, rep.valid_bytes, false).unwrap());
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), rep.valid_bytes);
         }
         let _ = std::fs::remove_file(&path);
     }

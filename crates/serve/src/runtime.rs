@@ -105,9 +105,12 @@ pub struct ServeConfig {
     /// [`ExecBackend::from_env`] at startup, so the runtime joins the
     /// `UDP_SIM_BACKEND` test matrix like everything else.
     pub backend: Option<ExecBackend>,
-    /// `fsync` the warm-restart journal after every record
-    /// ([`ServeRuntime::start_journaled`] only). Durable by default;
-    /// tests that churn many short-lived services can turn it off.
+    /// `fsync` the warm-restart journal at every commit
+    /// ([`ServeRuntime::start_journaled`] only). A commit is one wave's
+    /// records or one operator action's record, made durable by a
+    /// single `sync_data` before any result it covers is delivered.
+    /// Durable by default; tests that churn many short-lived services
+    /// can turn it off.
     pub journal_sync: bool,
 }
 
@@ -170,6 +173,13 @@ pub struct ServeStats {
     pub bytes_in: u64,
     /// Modeled cycles charged across all tenants.
     pub cycles: u64,
+    /// Records appended to the warm-restart journal by this runtime
+    /// (replayed records are not counted); 0 when unjournaled.
+    pub journal_records: u64,
+    /// `sync_data` calls made on the journal: one per commit with
+    /// [`ServeConfig::journal_sync`], so one per wave that charged
+    /// anything; 0 when unjournaled or unsynced.
+    pub journal_syncs: u64,
 }
 
 /// A registered kernel: the verified program image, its predecode-once
@@ -249,11 +259,15 @@ impl Shared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Appends one record to the journal, if one is attached.
-    fn journal_append(&self, rec: &JournalRecord) {
+    /// Commits `recs` to the journal as one group (one write, at most
+    /// one sync), if one is attached. Taking the held state guard keeps
+    /// the lock order: `state`, then `journal`.
+    fn journal_commit(&self, st: &mut State, recs: &[JournalRecord]) {
         let mut j = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(w) = j.as_mut() {
-            w.append(rec);
+            w.append_all(recs);
+            st.stats.journal_records = w.records();
+            st.stats.journal_syncs = w.syncs();
         }
     }
 }
@@ -459,11 +473,12 @@ impl ServeHandle {
         Ok(())
     }
 
-    /// Registers (or replaces) a kernel from a store [`Artifact`]
-    /// (`udp_store::Artifact`). The store already integrity-checked and
-    /// re-validated the image — certificate included — at load, so
-    /// registration skips the redundant re-verification and shares the
-    /// artifact's image and predecoded table by `Arc` (no copies).
+    /// Registers (or replaces) a kernel from a store
+    /// [`Artifact`](udp_store::Artifact). The store already
+    /// integrity-checked and re-validated the image — certificate
+    /// included — at load, so registration skips the redundant
+    /// re-verification and shares the artifact's image and predecoded
+    /// table by `Arc` (no copies).
     ///
     /// Unlike [`ServeHandle::register_kernel`], this registration is
     /// journaled (source + layout + fallback tag), so on a
@@ -496,7 +511,7 @@ impl ServeHandle {
                 fallback,
             },
         );
-        self.shared.journal_append(&rec);
+        self.shared.journal_commit(&mut st, &[rec]);
         Ok(())
     }
 
@@ -628,7 +643,7 @@ impl ServeHandle {
                 e.insert(TenantState::new(quota));
             }
         }
-        self.shared.journal_append(&rec);
+        self.shared.journal_commit(&mut st, &[rec]);
     }
 
     /// Credits `cycles` back to `tenant`'s spent-cycle account (an
@@ -637,10 +652,11 @@ impl ServeHandle {
         let mut st = self.shared.lock();
         if let Some(t) = st.tenants.get_mut(tenant) {
             t.cycles_used = t.cycles_used.saturating_sub(cycles);
-            self.shared.journal_append(&JournalRecord::Refill {
+            let rec = JournalRecord::Refill {
                 tenant: tenant.to_string(),
                 cycles,
-            });
+            };
+            self.shared.journal_commit(&mut st, &[rec]);
         }
     }
 
@@ -653,9 +669,10 @@ impl ServeHandle {
                 t.quarantined = false;
                 t.strikes = 0;
                 st.stats.tenants_quarantined = st.stats.tenants_quarantined.saturating_sub(1);
-                self.shared.journal_append(&JournalRecord::Release {
+                let rec = JournalRecord::Release {
                     tenant: tenant.to_string(),
-                });
+                };
+                self.shared.journal_commit(&mut st, &[rec]);
             }
         }
     }
@@ -975,7 +992,7 @@ fn waited_ms(job: &PendingJob, now: Instant) -> u64 {
 
 /// Executes one wave end to end: dispatch-time shedding, the device
 /// run under the supervisor ladder, per-job outcome mapping, tenant
-/// accounting, and result delivery.
+/// accounting, one journal commit for the wave, and result delivery.
 fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
     let cfg = &shared.config;
     let now = Instant::now();
@@ -1097,6 +1114,11 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
         }
     };
 
+    // The wave's journal records and results are collected, committed
+    // as one group, and only then delivered: no result is released
+    // before the sync that makes its charge durable.
+    let mut records = Vec::with_capacity(runnable.len());
+    let mut results = Vec::with_capacity(runnable.len());
     for (i, job) in runnable.into_iter().enumerate() {
         let lane_rep = &report.lanes[i];
         let cycles = lane_rep.cycles;
@@ -1105,7 +1127,7 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
         st.stats.cycles += cycles;
         if let Some(t) = st.tenants.get_mut(&job.tenant) {
             t.cycles_used = t.cycles_used.saturating_add(cycles);
-            shared.journal_append(&JournalRecord::Charge {
+            records.push(JournalRecord::Charge {
                 tenant: job.tenant.clone(),
                 cycles,
             });
@@ -1126,11 +1148,10 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
         if deadline_missed || deadline_cancelled {
             st.stats.shed_deadline += 1;
             let waited = waited_ms(&job, done);
-            deliver(
-                &mut st,
-                &job.tx,
+            results.push((
+                job.tx,
                 Err(ServeError::DeadlineExceeded { waited_ms: waited }),
-            );
+            ));
             continue;
         }
         // Move the lane's output out of the report instead of cloning
@@ -1160,13 +1181,13 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
                 st.stats.quarantined_jobs += 1;
                 if let Some(t) = st.tenants.get_mut(&job.tenant) {
                     t.strikes += 1;
-                    shared.journal_append(&JournalRecord::Strike {
+                    records.push(JournalRecord::Strike {
                         tenant: job.tenant.clone(),
                     });
                     if !t.quarantined && t.strikes >= shared.config.quarantine_strikes.max(1) {
                         t.quarantined = true;
                         st.stats.tenants_quarantined += 1;
-                        shared.journal_append(&JournalRecord::Quarantine {
+                        records.push(JournalRecord::Quarantine {
                             tenant: job.tenant.clone(),
                         });
                     }
@@ -1179,7 +1200,11 @@ fn run_wave(shared: &Shared, kernel: &KernelSpec, jobs: Vec<PendingJob>) {
         if result.is_ok() {
             st.stats.completed += 1;
         }
-        deliver(&mut st, &job.tx, result);
+        results.push((job.tx, result));
+    }
+    shared.journal_commit(&mut st, &records);
+    for (tx, result) in results {
+        deliver(&mut st, &tx, result);
     }
 }
 

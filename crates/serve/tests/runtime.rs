@@ -2,13 +2,16 @@
 //! quota enforcement, deadline shedding, per-tenant quarantine, and the
 //! exactly-once delivery guarantee through drain and abort shutdowns.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+use udp_serve::journal::{self, JournalRecord};
 use udp_serve::{
-    ChaosSpec, JobOutcome, JobSpec, OverloadScope, ServeConfig, ServeError, ServeRuntime, Shutdown,
-    TenantQuota,
+    csv_kernel_artifact, ChaosSpec, JobOutcome, JobSpec, OverloadScope, ServeConfig, ServeError,
+    ServeRuntime, Shutdown, TenantQuota,
 };
 use udp_sim::SimError;
+use udp_store::ArtifactStore;
 
 fn small_config() -> ServeConfig {
     ServeConfig {
@@ -343,5 +346,94 @@ fn stats_account_for_bytes_and_cycles() {
     assert_eq!(stats.bytes_in, 4);
     assert_eq!(stats.cycles, out.cycles);
     assert!(stats.waves >= 1);
+    assert_eq!(
+        (stats.journal_records, stats.journal_syncs),
+        (0, 0),
+        "an unjournaled runtime commits nothing"
+    );
     rt.shutdown(Shutdown::Drain);
+}
+
+/// Per-tenant sum of the `Charge` records in the journal at `path`.
+fn journaled_charges(path: &std::path::Path) -> HashMap<String, u64> {
+    let mut sums = HashMap::new();
+    for rec in journal::replay(path).unwrap().records {
+        if let JournalRecord::Charge { tenant, cycles } = rec {
+            *sums.entry(tenant).or_insert(0) += cycles;
+        }
+    }
+    sums
+}
+
+#[test]
+fn a_wave_is_one_journal_commit_made_durable_before_delivery() {
+    let dir = std::env::temp_dir().join(format!("udp-serve-group-commit-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open_with(dir.join("store"), false).unwrap();
+    let path = dir.join("serve.journal");
+    let config = ServeConfig {
+        queue_capacity: 64,
+        max_wave: 64,
+        parallel: false,
+        journal_sync: true,
+        ..ServeConfig::default()
+    };
+    let rt = ServeRuntime::start_journaled(config, &path, &store).unwrap();
+    let handle = rt.handle();
+    let (artifact, fallback) = csv_kernel_artifact(&store).unwrap();
+    handle
+        .register_artifact("csv", &artifact, Some(fallback))
+        .unwrap();
+    let before = handle.stats();
+    assert_eq!(
+        (before.journal_records, before.journal_syncs),
+        (1, 1),
+        "an operator action is one synced commit"
+    );
+
+    // Eight jobs from two tenants, queued under pause: one wave.
+    handle.pause();
+    let tickets: Vec<(&str, _)> = (0..8)
+        .map(|i| {
+            let tenant = ["alice", "bob"][i % 2];
+            let payload = format!("{i},{tenant}\n");
+            (
+                tenant,
+                handle.submit(csv_job(tenant, payload.as_bytes())).unwrap(),
+            )
+        })
+        .collect();
+    handle.resume();
+
+    // Durability before delivery: whenever a result arrives, the
+    // journal already covers the cycles of every result delivered so
+    // far. Group commit makes the whole wave durable before the first.
+    let mut delivered: HashMap<String, u64> = HashMap::new();
+    let mut seen = Vec::new();
+    for (tenant, ticket) in tickets {
+        let out = ticket.wait().unwrap();
+        *delivered.entry(tenant.to_string()).or_insert(0) += out.cycles;
+        let journaled = journaled_charges(&path);
+        for (t, cycles) in &delivered {
+            assert!(
+                journaled.get(t).copied().unwrap_or(0) >= *cycles,
+                "{t}: {cycles} cycles delivered before they were journaled"
+            );
+        }
+        seen.push(journaled);
+    }
+    for journaled in &seen {
+        assert_eq!(journaled, &delivered, "the wave's charges commit together");
+    }
+
+    let after = handle.stats();
+    assert_eq!(after.waves - before.waves, 1);
+    assert_eq!(after.journal_records - before.journal_records, 8);
+    assert_eq!(
+        after.journal_syncs - before.journal_syncs,
+        1,
+        "one sync per wave"
+    );
+    rt.shutdown(Shutdown::Drain);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,8 +8,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 use udp_serve::{
-    csv_kernel_artifact, ChaosSpec, JobOutcome, JobSpec, ServeConfig, ServeError, ServeHandle,
-    ServeRuntime, Shutdown, TenantQuota,
+    csv_kernel_artifact, ChaosSpec, JobOutcome, JobSpec, JobTicket, ServeConfig, ServeError,
+    ServeHandle, ServeRuntime, Shutdown, TenantQuota,
 };
 use udp_sim::ExecBackend;
 use udp_store::ArtifactStore;
@@ -63,13 +63,25 @@ fn register_kernels(handle: &ServeHandle, store: &ArtifactStore) {
 /// Drives one deterministic service history: clean jobs for `alice`,
 /// a poison job that quarantines `mallory`, then a quota clamp on
 /// `alice`. Identical histories must leave identical durable state.
-fn run_history(handle: &ServeHandle, payloads: &[Vec<u8>], poison_seed: u64) {
-    for p in payloads {
-        let out = handle
+/// `batched` queues the clean jobs under pause so they run as one wave
+/// and their charges land in one multi-record journal commit; otherwise
+/// each job is its own wave.
+fn run_history(handle: &ServeHandle, payloads: &[Vec<u8>], poison_seed: u64, batched: bool) {
+    let submit = |p: &Vec<u8>| {
+        handle
             .submit(JobSpec::new("alice", "csv", p.clone()))
             .unwrap()
-            .wait_timeout(Duration::from_secs(30))
-            .unwrap();
+    };
+    let wait = |t: JobTicket| t.wait_timeout(Duration::from_secs(30)).unwrap();
+    let outs: Vec<_> = if batched {
+        handle.pause();
+        let tickets: Vec<_> = payloads.iter().map(submit).collect();
+        handle.resume();
+        tickets.into_iter().map(wait).collect()
+    } else {
+        payloads.iter().map(|p| wait(submit(p))).collect()
+    };
+    for out in outs {
         assert_eq!(out.outcome, JobOutcome::Clean);
     }
     let mut poison = JobSpec::new(
@@ -159,6 +171,7 @@ proptest! {
         poison_seed in 0u64..1000,
         compiled in proptest::bool::ANY,
         parallel in proptest::bool::ANY,
+        batched in proptest::bool::ANY,
     ) {
         let payloads: Vec<Vec<u8>> = fields
             .iter()
@@ -177,7 +190,7 @@ proptest! {
         )
         .unwrap();
         register_kernels(&rt_a.handle(), &store);
-        run_history(&rt_a.handle(), &payloads, poison_seed);
+        run_history(&rt_a.handle(), &payloads, poison_seed, batched);
         let stats_a = rt_a.shutdown(Shutdown::Drain);
         prop_assert_eq!(stats_a.tenants_quarantined, 1);
 
@@ -197,7 +210,7 @@ proptest! {
         )
         .unwrap();
         register_kernels(&rt_c.handle(), &store);
-        run_history(&rt_c.handle(), &payloads, poison_seed);
+        run_history(&rt_c.handle(), &payloads, poison_seed, batched);
 
         let got_a = probe(&rt_a2.handle(), &probe_payload);
         let got_c = probe(&rt_c.handle(), &probe_payload);
